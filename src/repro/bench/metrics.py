@@ -165,7 +165,9 @@ def _fix_rates(delta: Dict[str, object]) -> None:
     for key, value in delta.items():
         if not isinstance(value, dict):
             continue
-        if key in ("feature_cache", "snapshot_store"):
+        if key in (
+            "feature_cache", "template_cache", "plan_cache", "snapshot_store"
+        ):
             hits = value.get("hits", 0) + value.get("coalesced", 0)
             hits += value.get("approx_hits", 0)
             requests = hits + value.get("misses", 0)

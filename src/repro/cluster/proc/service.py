@@ -665,27 +665,19 @@ class ProcClusterService:
         return self.metrics.sections_snapshot()
 
     def report(self) -> str:
-        """Human-readable per-worker routing/health/admission report."""
+        """Human-readable per-worker routing/health/admission report,
+        plus the workers' summed cache counters (from their last pulled
+        snapshots)."""
         from ...eval.reporting import render_cluster_report
 
-        cluster = self.metrics.sections_snapshot()["cluster"]
-        rows = [
-            (
-                worker_id,
-                "up" if info["alive"] else "down",
-                info["routed"],
-                info["failures"],
-                info["admission"]["shed"],
-                info["admission"]["peak_inflight"],
-            )
-            for worker_id, info in sorted(cluster["per_shard"].items())
-        ]
-        totals = {
-            "reroutes": cluster["reroutes"],
-            "exhausted": cluster["exhausted"],
-            "ejections": cluster["ejections"],
-        }
-        return render_cluster_report(rows, totals)
+        snapshot = self.metrics.sections_snapshot()
+        return render_cluster_report(
+            snapshot["cluster"],
+            [
+                worker.get("sections", {})
+                for worker in snapshot["workers"].values()
+            ],
+        )
 
     def close(self) -> None:
         """Retire the fleet: stop supervision, shut workers down

@@ -674,28 +674,14 @@ class ClusterService:
 
     def report(self) -> str:
         """Human-readable per-shard routing/health/admission report,
-        rendered from the same registry snapshot :meth:`counters`
-        serves."""
+        plus the replicas' summed cache counters, rendered from the
+        same registry snapshot :meth:`counters` serves."""
         from ..eval.reporting import render_cluster_report
 
-        cluster = self.metrics.sections_snapshot()["cluster"]
-        rows = [
-            (
-                shard_id,
-                "up" if info["alive"] else "down",
-                info["routed"],
-                info["failures"],
-                info["admission"]["shed"],
-                info["admission"]["peak_inflight"],
-            )
-            for shard_id, info in sorted(cluster["per_shard"].items())
-        ]
-        totals = {
-            "reroutes": cluster["reroutes"],
-            "exhausted": cluster["exhausted"],
-            "ejections": cluster["ejections"],
-        }
-        return render_cluster_report(rows, totals)
+        snapshot = self.metrics.sections_snapshot()
+        return render_cluster_report(
+            snapshot["cluster"], snapshot["shards"].values()
+        )
 
     def close(self) -> None:
         """Shut down every replica (adaptation loops, micro-batchers)."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .experiments import (
     ModelRow,
@@ -66,15 +66,7 @@ def render_serving_report(
             )
         )
     if caches:
-        sections.append(
-            format_table(
-                ["cache", "hits", "misses", "hit rate"],
-                [
-                    (name, hits, misses, f"{rate:.1%}")
-                    for name, hits, misses, rate in caches
-                ],
-            )
-        )
+        sections.append(_cache_table(caches))
     if adaptation:
         sections.append(
             format_table(["adaptation", "value"], list(adaptation))
@@ -113,31 +105,96 @@ def render_persist_report(
     return "\n\n".join(sections)
 
 
-def render_cluster_report(
-    shard_rows: Sequence[Tuple[str, str, int, int, int, int]],
-    totals: Dict[str, int],
-) -> str:
-    """The sharded tier's health/routing report in the repo's table
-    style.
+#: (counters section, report label) of every cache a CostService counts.
+_CACHE_SECTIONS = (
+    ("feature_cache", "feature-cache"),
+    ("template_cache", "template-cache"),
+    ("plan_cache", "plan-cache"),
+    ("snapshot_store", "snapshot-store"),
+)
 
-    ``shard_rows`` are (shard, status, routed, failures, shed, peak
-    in-flight) as produced by :meth:`repro.cluster.ClusterService.report`;
-    ``totals`` maps cluster-level counters (reroutes, exhausted,
-    ejections) to their values.
+
+def cache_rows(
+    snapshots: Iterable[Dict[str, object]]
+) -> List[Tuple[str, int, int, float]]:
+    """(cache, hits, misses, hit rate) rows summed over
+    :meth:`~repro.serving.CostService.counters` snapshots (one per
+    service, replica or worker).
+
+    Coalesced waits (and approximate snapshot-store hits) count as hits
+    in both columns and rate, so the displayed counts and percentage
+    agree.  A cache absent from every snapshot gets no row.
     """
+    totals: Dict[str, List[int]] = {}
+    for snapshot in snapshots:
+        for section, label in _CACHE_SECTIONS:
+            counters = snapshot.get(section)
+            if not counters:
+                continue
+            total = totals.setdefault(label, [0, 0])
+            total[0] += (
+                counters["hits"]
+                + counters["coalesced"]
+                + counters.get("approx_hits", 0)
+            )
+            total[1] += counters["misses"]
+    return [
+        (label, hits, misses, hits / (hits + misses) if hits + misses else 0.0)
+        for label, (hits, misses) in totals.items()
+    ]
+
+
+def _cache_table(caches: Sequence[Tuple[str, int, int, float]]) -> str:
+    """Render (cache, hits, misses, hit rate) rows as one table."""
+    return format_table(
+        ["cache", "hits", "misses", "hit rate"],
+        [
+            (name, hits, misses, f"{rate:.1%}")
+            for name, hits, misses, rate in caches
+        ],
+    )
+
+
+def render_cluster_report(
+    cluster: Dict[str, object],
+    services: Iterable[Dict[str, object]] = (),
+) -> str:
+    """A serving tier's health/routing report in the repo's table style.
+
+    *cluster* is the tier's ``cluster`` counters section (the thread
+    and process tiers share its shape): one row per shard (status,
+    routed, failures, shed, peak in-flight) plus the cluster-level
+    totals.  *services* are the replicas' (or workers')
+    :meth:`~repro.serving.CostService.counters` snapshots, whose cache
+    counters are summed into one table.
+    """
+    per_shard = cluster["per_shard"]
     sections = [
         format_table(
             ["shard", "status", "routed", "failures", "shed", "peak inflight"],
-            list(shard_rows),
-        )
+            [
+                (
+                    shard_id,
+                    "up" if info["alive"] else "down",
+                    info["routed"],
+                    info["failures"],
+                    info["admission"]["shed"],
+                    info["admission"]["peak_inflight"],
+                )
+                for shard_id, info in sorted(per_shard.items())
+            ],
+        ),
+        format_table(
+            ["cluster", "value"],
+            [
+                (key, cluster[key])
+                for key in ("ejections", "exhausted", "reroutes")
+            ],
+        ),
     ]
-    if totals:
-        sections.append(
-            format_table(
-                ["cluster", "value"],
-                [(key, value) for key, value in sorted(totals.items())],
-            )
-        )
+    caches = cache_rows(services)
+    if caches:
+        sections.append(_cache_table(caches))
     return "\n\n".join(sections)
 
 

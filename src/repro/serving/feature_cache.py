@@ -22,7 +22,7 @@ import dataclasses
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from ..errors import ServingError
 from ..obs.lockwatch import make_lock
@@ -69,19 +69,22 @@ class CacheStats:
 
 
 class FeatureCache:
-    """Bounded LRU mapping fingerprint -> prepared feature encoding."""
+    """Bounded LRU mapping a hashable key -> computed value: plan
+    fingerprint -> prepared features, or the service's plan memo."""
 
     def __init__(self, capacity: int = 2048):
         if capacity < 1:
             raise ServingError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
-        self._inflight: Dict[str, "Future[object]"] = {}
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        #: Keys being computed -> the Future their waiters block on
+        #: (None until the first waiter arrives).
+        self._inflight: Dict[Hashable, "Optional[Future[object]]"] = {}
         self._lock = make_lock("serving.feature_cache")
 
     # ------------------------------------------------------------------
-    def get(self, key: str):
+    def get(self, key: Hashable):
         """The cached value, or None on miss (counts either way).
 
         Cannot distinguish a cached ``None`` from a miss; callers that
@@ -91,7 +94,7 @@ class FeatureCache:
         found, value = self.lookup(key)
         return value if found else None
 
-    def lookup(self, key: str) -> Tuple[bool, object]:
+    def lookup(self, key: Hashable) -> Tuple[bool, object]:
         """(found, value) — unambiguous even for cached ``None``."""
         with self._lock:
             value = self._entries.get(key, _MISSING)
@@ -102,12 +105,12 @@ class FeatureCache:
             self.stats.misses += 1
             return False, None
 
-    def put(self, key: str, value: object) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         """Insert *value* under *key*, evicting past capacity."""
         with self._lock:
             self._store(key, value)
 
-    def _store(self, key: str, value: object) -> None:
+    def _store(self, key: Hashable, value: object) -> None:
         """Insert under the held lock, evicting past capacity."""
         if key in self._entries:
             self._entries.move_to_end(key)
@@ -118,7 +121,7 @@ class FeatureCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
-    def get_or_compute(self, key: str, compute: Callable[[], object]):
+    def get_or_compute(self, key: Hashable, compute: Callable[[], object]):
         """Cached value, computing and inserting on miss.
 
         Stampede-safe: concurrent misses on the same key run
@@ -133,28 +136,31 @@ class FeatureCache:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 return value
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                self.stats.coalesced += 1
-                leader = False
-            else:
+            inflight = self._inflight.get(key, _MISSING)
+            if inflight is _MISSING:
                 self.stats.misses += 1
-                inflight = Future()
-                self._inflight[key] = inflight
-                leader = True
-        if not leader:
+                # No waiter yet, so no Future: the first waiter makes
+                # it, and an uncontended miss never allocates one.
+                self._inflight[key] = None
+            else:
+                if inflight is None:
+                    inflight = self._inflight[key] = Future()
+                self.stats.coalesced += 1
+        if inflight is not _MISSING:
             return inflight.result()
         try:
             value = compute()
         except BaseException as exc:
             with self._lock:
-                self._inflight.pop(key, None)
-            inflight.set_exception(exc)
+                waiters = self._inflight.pop(key, None)
+            if waiters is not None:
+                waiters.set_exception(exc)
             raise
         with self._lock:
             self._store(key, value)
-            self._inflight.pop(key, None)
-        inflight.set_result(value)
+            waiters = self._inflight.pop(key, None)
+        if waiters is not None:
+            waiters.set_result(value)
         return value
 
     # ------------------------------------------------------------------
@@ -197,7 +203,7 @@ class FeatureCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._entries
 

@@ -3,6 +3,9 @@
 ``CostService`` runs the full online path — parse → plan → featurize →
 predict — against deployed :class:`EstimatorBundle`\\ s, with:
 
+- a plan memo (:class:`FeatureCache` ``plan_cache``) mapping SQL text
+  to its built, read-only plan, so a repeated statement skips parse
+  and plan;
 - a :class:`FeatureCache` memoising encoded features by plan
   fingerprint (repeated plans skip featurization entirely);
 - a second :class:`FeatureCache` memoising *template skeletons* by
@@ -33,6 +36,7 @@ single, batched or async path.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import threading
 import time
@@ -64,6 +68,10 @@ from .snapshot_store import SnapshotStore, template_snapshot_fitter
 QueryLike = Union[str, SelectQuery, PlanNode]
 
 STAGES = ("parse", "plan", "featurize", "predict")
+
+#: Stands in for a span when tracing is off: stateless and shared, so
+#: the untraced path allocates nothing.
+_NO_SPAN = contextlib.nullcontext()
 
 
 @dataclass
@@ -149,6 +157,11 @@ class ServiceStats:
             }
 
 
+def _cache_section(cache: FeatureCache) -> Dict[str, object]:
+    """A cache's counters section: its atomic stats plus its size."""
+    return dict(cache.stats_snapshot().as_dict(), size=len(cache))
+
+
 class CostService:
     """Online estimation over deployed bundles."""
 
@@ -173,6 +186,11 @@ class CostService:
         #: by every instantiation of a statement template.  Consulted
         #: only on feature-cache misses.
         self.template_cache = FeatureCache(cache_capacity)
+        #: Plan memo: built plans keyed by (benchmark name, environment
+        #: name, SQL text) — everything a plan depends on — so a
+        #: repeated statement skips parse and plan.  Entries are shared
+        #: and must never be mutated; derived state, never persisted.
+        self.plan_cache = FeatureCache(cache_capacity)
         self.stats = ServiceStats()
         #: The unified metrics registry every stats source registers
         #: into; :meth:`counters` and the Prometheus exposition are
@@ -214,19 +232,8 @@ class CostService:
         register = self.metrics.register_collector
         register("service", self.stats.snapshot)
         register("registry", self.registry.stats_snapshot)
-        register(
-            "feature_cache",
-            lambda: dict(
-                self.cache.stats_snapshot().as_dict(), size=len(self.cache)
-            ),
-        )
-        register(
-            "template_cache",
-            lambda: dict(
-                self.template_cache.stats_snapshot().as_dict(),
-                size=len(self.template_cache),
-            ),
-        )
+        register("feature_cache", lambda: _cache_section(self.cache))
+        register("template_cache", lambda: _cache_section(self.template_cache))
         register(
             "snapshot_store",
             lambda: None
@@ -243,6 +250,9 @@ class CostService:
                 for name, stats in self.batcher_stats().items()
             },
         )
+        # Registered after the pre-existing sections so their snapshot
+        # key order is unchanged.
+        register("plan_cache", lambda: _cache_section(self.plan_cache))
         register(
             "adaptation",
             lambda: None
@@ -342,16 +352,19 @@ class CostService:
     def _builder_for(
         self, bundle: EstimatorBundle, env: DatabaseEnvironment
     ) -> PlanBuilder:
-        key = (bundle.name, env.name)
-        with self._lock:
-            builder = self._builders.get(key)
-        if builder is not None:
-            return builder
         if bundle.benchmark is None:
             raise ServingError(
                 f"bundle {bundle.name!r} carries no benchmark; "
                 "pass an already-built plan instead of SQL"
             )
+        # Keyed like the plan memo, by what a plan depends on: a name
+        # redeployed onto another benchmark must not reuse the old
+        # catalog's builder.
+        key = (bundle.benchmark.name, env.name)
+        with self._lock:
+            builder = self._builders.get(key)
+        if builder is not None:
+            return builder
         # Construct outside the lock (cross-module work has no business
         # in the critical section); racing builders are identical and
         # setdefault keeps the first, so the memo stays one-per-key.
@@ -369,28 +382,17 @@ class CostService:
     ) -> Tuple[PlanNode, str]:
         """Parse/plan as needed; returns (plan, sql text if known).
 
-        With a tracer attached, the parse and plan stages each open a
-        child span under the caller's active request span (thread-local
-        propagation); with no tracer the path is identical to before —
-        no span objects exist to allocate.
+        SQL text resolves through the plan memo (:meth:`_memo_plan`),
+        so the returned plan may be shared and must not be mutated.
+        With a tracer attached, the plan stage opens a child span under
+        the caller's active request span (thread-local propagation; a
+        memo miss parses under it); with no tracer no span objects
+        exist to allocate.
         """
-        tracer = self.tracer
-        sql_text = ""
         if isinstance(query, str):
-            start = time.perf_counter()
-            sql_text = query
-            if bundle.benchmark is None:
-                raise ServingError(
-                    f"bundle {bundle.name!r} carries no benchmark catalog; "
-                    "cannot parse SQL"
-                )
-            if tracer is None:
-                query = parse_sql(query, bundle.benchmark.catalog)
-            else:
-                with tracer.start_span("parse"):
-                    query = parse_sql(query, bundle.benchmark.catalog)
-            self.stats.record("parse", time.perf_counter() - start)
+            return self._memo_plan(query, bundle, env), query
         if isinstance(query, SelectQuery):
+            tracer = self.tracer
             start = time.perf_counter()
             if tracer is None:
                 plan = self._builder_for(bundle, env).build(query)
@@ -398,14 +400,55 @@ class CostService:
                 with tracer.start_span("plan"):
                     plan = self._builder_for(bundle, env).build(query)
             self.stats.record("plan", time.perf_counter() - start)
-            sql_text = sql_text or query.sql()
-            return plan, sql_text
+            return plan, query.sql()
         if isinstance(query, PlanNode):
-            return query, sql_text
+            return query, ""
         raise ServingError(
             f"estimate() accepts SQL text, SelectQuery or PlanNode, "
             f"got {type(query).__name__}"
         )
+
+    def _memo_plan(
+        self, sql_text: str, bundle: EstimatorBundle, env: DatabaseEnvironment
+    ) -> PlanNode:
+        """The shared plan for *sql_text*, parsed and built on a memo miss.
+
+        One lookup serves both tracer states.  The ``plan`` stage (and
+        span, annotated ``cache=hit|miss``) times getting the plan; a
+        miss also records the ``parse`` stage (its span nests under
+        ``plan``), whose time the ``plan`` stage then excludes.
+        Concurrent misses on one statement build it once.
+        """
+        benchmark = bundle.benchmark
+        if benchmark is None:
+            raise ServingError(
+                f"bundle {bundle.name!r} carries no benchmark catalog; "
+                "cannot parse SQL"
+            )
+        tracer = self.tracer
+        parse_seconds: List[float] = []
+
+        def _parse_and_build() -> PlanNode:
+            start = time.perf_counter()
+            if tracer is None:
+                query = parse_sql(sql_text, benchmark.catalog)
+            else:
+                with tracer.start_span("parse"):
+                    query = parse_sql(sql_text, benchmark.catalog)
+            parse_seconds.append(time.perf_counter() - start)
+            self.stats.record("parse", parse_seconds[0])
+            return self._builder_for(bundle, env).build(query)
+
+        key = (benchmark.name, env.name, sql_text)
+        start = time.perf_counter()
+        with _NO_SPAN if tracer is None else tracer.start_span("plan") as span:
+            plan = self.plan_cache.get_or_compute(key, _parse_and_build)
+            if span is not None:
+                span.annotate(cache="miss" if parse_seconds else "hit")
+        self.stats.record(
+            "plan", time.perf_counter() - start - sum(parse_seconds)
+        )
+        return plan
 
     def _prepare(
         self,
@@ -772,10 +815,12 @@ class CostService:
                     "LabeledPlan"
                 )
             plan, sql_text = self._resolve_plan(query, deployed, env)
-            if isinstance(query, PlanNode):
-                # _resolve_plan passes caller-built plans through as-is;
-                # labelling must not mutate the caller's object (nor let
-                # later feedback calls overwrite this record's targets).
+            if not isinstance(query, SelectQuery):
+                # Only a SelectQuery is built privately here: SQL text
+                # resolves to the shared memoized plan and a PlanNode is
+                # the caller's object.  Labelling must mutate neither
+                # (nor let later feedback overwrite this record's
+                # targets).
                 plan = copy.deepcopy(plan)
             root_cost = max(plan.est_total_cost, 1e-9)
             for node in plan.walk():
@@ -896,56 +941,33 @@ class CostService:
 
     def report(self) -> str:
         """Human-readable per-stage latency and cache hit-rate report."""
-        from ..eval.reporting import render_serving_report
+        from ..eval.reporting import cache_rows, render_serving_report
 
-        throughput: List[Tuple[str, float, float]] = []
-        # Coalesced requests (waited on another thread's in-flight
-        # compute/fit) count as hits in both columns and rate, so the
-        # displayed counts and percentage agree.  All counters come
-        # from atomic snapshots (see counters()).
-        cache_stats = self.cache.stats_snapshot()
-        cache_rows = [
-            (
-                "feature-cache",
-                cache_stats.hits + cache_stats.coalesced,
-                cache_stats.misses,
-                cache_stats.hit_rate,
-            )
-        ]
-        if self.snapshot_store is not None:
-            stats = self.snapshot_store.stats_snapshot()
-            cache_rows.append(
-                (
-                    "snapshot-store",
-                    stats.hits + stats.approx_hits + stats.coalesced,
-                    stats.misses,
-                    stats.hit_rate,
-                )
-            )
-        adaptation_rows = (
-            self.adaptation.stats.rows() if self.adaptation is not None else ()
-        )
-        # Warm vs cold boots are observable: every restored component
-        # reports how much state a checkpoint handed it.
-        registry_stats = self.registry.stats_snapshot()
+        # Every figure comes from one atomic-per-section snapshot (see
+        # counters()).  Warm vs cold boots are observable: every
+        # restored component reports how much state a checkpoint
+        # handed it.
+        snapshot = self.counters()
         persist_rows: List[Tuple[str, object]] = [
             (
                 "bundles restored",
-                registry_stats["restored_from_checkpoint"],
+                snapshot["registry"]["restored_from_checkpoint"],
             )
         ]
-        if self.snapshot_store is not None:
+        if "snapshot_store" in snapshot:
             persist_rows.append(
                 (
                     "snapshots restored",
-                    self.snapshot_store.stats_snapshot().restored_from_checkpoint,
+                    snapshot["snapshot_store"]["restored_from_checkpoint"],
                 )
             )
         return render_serving_report(
-            throughput,
+            [],
             self.stats.stage_rows(),
-            cache_rows,
-            adaptation=adaptation_rows,
+            cache_rows([snapshot]),
+            adaptation=(
+                () if self.adaptation is None else self.adaptation.stats.rows()
+            ),
             persist=persist_rows,
         )
 

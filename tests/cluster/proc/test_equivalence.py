@@ -9,10 +9,17 @@ same bundles.  Any tolerance here would hide a codec bug.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterService
+from repro.engine.optimizer import PlanBuilder
 from repro.serving import CostService, SnapshotStore
 
 
@@ -93,3 +100,90 @@ def test_async_path_bit_identical_to_sync(
     sql = labeled[0].query_sql
     sync = proc_service.estimate(sql, env)
     assert proc_service.estimate_async(sql, env).result(timeout=30.0) == sync
+
+
+def _fresh_estimates(bundle, queries, env):
+    """Every query's estimate from its own brand-new service (a plan
+    memo miss by construction)."""
+    values = []
+    for sql in queries:
+        with CostService(snapshot_store=SnapshotStore()) as fresh:
+            fresh.deploy(bundle)
+            values.append(fresh.estimate(sql, env))
+    return np.array(values)
+
+
+def test_plan_memo_hits_equal_misses_and_fresh_services(
+    proc_service, thread_tier, cluster_bundle, cluster_envs
+):
+    """Repeated SQL: the memo hit on every path and both tiers returns
+    the same 64 bits as the miss and as a fresh service."""
+    bundle, labeled = cluster_bundle
+    env = cluster_envs[0]
+    queries = list(dict.fromkeys(r.query_sql for r in labeled[:6]))
+    expected = _fresh_estimates(bundle, queries, env)
+    with CostService(snapshot_store=SnapshotStore()) as service:
+        service.deploy(bundle)
+        misses = np.array([service.estimate(sql, env) for sql in queries])
+        assert service.counters()["plan_cache"]["hits"] == 0
+        hits = np.array([service.estimate(sql, env) for sql in queries])
+        many = service.estimate_many(queries * 2, env, batch_size=4)
+        futures = [service.estimate_async(sql, env) for sql in queries]
+        async_hits = np.array([f.result(timeout=30.0) for f in futures])
+        memo = service.counters()["plan_cache"]
+        assert memo["misses"] == len(queries)
+        assert memo["hits"] == 4 * len(queries)
+    for got in (misses, hits, async_hits, many[: len(queries)],
+                many[len(queries):]):
+        assert np.array_equal(got, expected)
+    for tier in (thread_tier, proc_service):
+        for _ in range(2):
+            assert np.array_equal(
+                [tier.estimate(sql, env) for sql in queries], expected
+            )
+            assert np.array_equal(
+                tier.estimate_many(queries, env, batch_size=4), expected
+            )
+        assert np.array_equal(
+            [tier.estimate_async(sql, env).result(timeout=30.0)
+             for sql in queries],
+            expected,
+        )
+
+
+def test_sql_stampede_builds_its_plan_once(cluster_bundle, cluster_envs):
+    """16 threads miss on one statement at once: one parse-and-build,
+    the other callers coalesce onto it, and all get the same bits."""
+    bundle, labeled = cluster_bundle
+    sql, env = labeled[0].query_sql, cluster_envs[0]
+    builds = []
+    build = PlanBuilder.build
+
+    def slow_build(self, query):
+        builds.append(query)
+        time.sleep(0.1)  # hold the miss open so the others pile up
+        return build(self, query)
+
+    barrier = threading.Barrier(16)
+    with CostService(snapshot_store=SnapshotStore()) as service:
+        service.deploy(bundle)
+
+        def call(_):
+            barrier.wait(timeout=30.0)
+            return service.estimate(sql, env)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads harder
+        try:
+            with mock.patch.object(PlanBuilder, "build", slow_build):
+                with ThreadPoolExecutor(16) as pool:
+                    values = list(pool.map(call, range(16), timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        memo = service.counters()["plan_cache"]
+        parses = service.counters()["service"]["stages"]["parse"]["calls"]
+    assert len(builds) == 1 and parses == 1
+    assert memo["misses"] == 1 and memo["coalesced"] >= 1
+    assert memo["hits"] + memo["coalesced"] == 15
+    expected = _fresh_estimates(bundle, [sql], env)
+    assert np.array_equal(values, np.repeat(expected, 16))

@@ -79,9 +79,12 @@ def test_counters_fold_worker_sections(proc_service, cluster_bundle,
         assert snap["worker_id"] == worker_id
         assert snap["pid"] == proc_service.worker(worker_id).pid
         assert "sections" in snap  # the worker's own registry, folded
+        sections = snap["sections"]
+        assert set(sections["plan_cache"]) == set(sections["template_cache"])
     assert counters["supervisor"]["alive"] == counters["supervisor"]["workers"]
     report = proc_service.report()
     assert "worker-0" in report and "routed" in report
+    assert "plan-cache" in report
 
 
 def test_tenant_affinity_is_stable(proc_service):

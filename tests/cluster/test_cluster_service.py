@@ -338,6 +338,11 @@ def test_counters_and_report_shape(cluster, cluster_bundle, cluster_envs):
         assert tier["per_shard"][shard_id]["alive"] is True
     report = cluster.report()
     assert "shard" in report and "routed" in report and "reroutes" in report
+    # The replicas' cache counters, plan memo included, fold into both.
+    home = counters["shards"][cluster.shard_of(cluster.deployed_names()[0])]
+    assert set(home["plan_cache"]) == set(home["template_cache"])
+    assert home["plan_cache"]["requests"] >= 1
+    assert "plan-cache" in report and "feature-cache" in report
 
 
 # ----------------------------------------------------------------------

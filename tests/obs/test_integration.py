@@ -124,6 +124,8 @@ def test_live_expositions_parse_under_check_prom(
     assert check_prometheus_text(service_text) == []
     assert "repro_cluster_routed" in cluster_text
     assert "repro_service_requests" in service_text
+    assert "repro_plan_cache_misses" in service_text
+    assert "plan_cache" in cluster_text
 
 
 def test_bench_obs_summary_and_registry(tmp_path):

@@ -169,3 +169,25 @@ def test_null_tracer_allocates_no_spans(trained_bundle, serving_envs):
         service.close()
     assert constructed == []
     assert service.tracer is None
+
+
+def test_plan_span_annotates_memo_hit_and_miss(trained_bundle, serving_envs):
+    """A memo miss parses under its ``plan`` span (``cache=miss``); a
+    repeat opens a ``plan`` span (``cache=hit``) and no ``parse``."""
+    tracer = Tracer(sample_rate=1.0, seed=5)
+    _, labeled = trained_bundle
+    service = _traced_service(trained_bundle, tracer)
+    try:
+        for _ in range(2):
+            service.estimate(labeled[0].query_sql, serving_envs[0])
+    finally:
+        service.close()
+    miss, hit = [
+        {span["name"]: span for span in trace["spans"]}
+        for trace in tracer.traces(kind="request")[-2:]
+    ]
+    assert miss["plan"]["annotations"]["cache"] == "miss"
+    assert miss["parse"]["parent_id"] == miss["plan"]["span_id"]
+    assert hit["plan"]["annotations"]["cache"] == "hit"
+    assert "parse" not in hit
+    assert hit["plan"]["parent_id"] == hit["request"]["span_id"]

@@ -442,3 +442,28 @@ def test_failed_refit_keeps_drift_trigger(
         assert not watcher.drift_pending
         assert service.adaptation.stats.promotions == 1
         assert service.registry.get(name).version == 2
+
+
+def test_feedback_cannot_corrupt_the_plan_memo(point_trained, adapt_envs):
+    """SQL feedback resolves through the shared plan memo, so it must
+    label a private copy: each record keeps its own targets, the
+    memoized plan stays unlabelled, and later estimates are
+    bit-identical to a fresh service's."""
+    pipeline, baselines, _ = point_trained
+    env = adapt_envs[0]
+    sql = "SELECT c FROM sbtest1 WHERE id BETWEEN 11 AND 110"
+    with make_service(pipeline, baselines) as service:
+        service.record_feedback(sql, env, actual_ms=7.5)
+        service.record_feedback(sql, env, actual_ms=42.0)
+        window = service.adaptation.watcher("sysbench:qppnet").window_records()
+        assert [record.latency_ms for record in window] == [7.5, 42.0]
+        assert window[0].plan.actual_total_ms == pytest.approx(7.5)
+        assert window[1].plan.actual_total_ms == pytest.approx(42.0)
+        key = ("sysbench", env.name, sql)
+        found, memoized = service.plan_cache.lookup(key)
+        assert found
+        assert all(record.plan is not memoized for record in window)
+        assert all(node.actual_total_ms == 0 for node in memoized.walk())
+        served = service.estimate(sql, env)
+    with make_service(pipeline, baselines) as fresh:
+        assert served == fresh.estimate(sql, env)

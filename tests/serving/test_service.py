@@ -171,3 +171,51 @@ def test_stats_snapshots_are_copies(service, trained_bundle, serving_envs):
     assert service.cache.stats_snapshot().requests == cache_before.requests + 1
     assert cache_before is not service.cache.stats
     assert store_before is not service.snapshot_store.stats
+
+
+def test_redeploying_a_name_onto_another_benchmark_replans(
+    trained_bundle, serving_envs, tpch
+):
+    """Regression: plan builders were keyed by bundle name, so a name
+    redeployed onto another benchmark kept the old catalog's builder
+    and TPC-H SQL failed with a sysbench ``SchemaError``."""
+    bundle, labeled = trained_bundle
+    tpch_labeled = collect_labeled_plans(tpch, serving_envs, 40, seed=1)
+    pipeline = QCFE(
+        tpch,
+        serving_envs,
+        QCFEConfig(model="qppnet", epochs=2, template_scale=4),
+    )
+    pipeline.fit(tpch_labeled)
+    tpch_bundle = pipeline.export_bundle()
+    sql, env = tpch_labeled[0].query_sql, serving_envs[0]
+    with CostService() as service, CostService() as fresh:
+        service.deploy(bundle, name="x")
+        service.estimate(labeled[0].query_sql, env, bundle="x")
+        service.deploy(tpch_bundle, name="x")
+        fresh.deploy(tpch_bundle, name="x")
+        assert service.estimate(sql, env, bundle="x") == fresh.estimate(
+            sql, env, bundle="x"
+        )
+
+
+def test_plan_memo_skips_parse_and_plan_on_repeats(
+    service, trained_bundle, serving_envs
+):
+    _, labeled = trained_bundle
+    sql, env = labeled[0].query_sql, serving_envs[0]
+    first = service.estimate(sql, env)
+    assert service.estimate(sql, env) == first
+    memo = service.counters()["plan_cache"]
+    assert (memo["misses"], memo["hits"], memo["size"]) == (1, 1, 1)
+    stages = service.counters()["service"]["stages"]
+    assert stages["parse"]["calls"] == 1  # the hit never parsed
+    assert stages["plan"]["calls"] == 2  # ... but both timed the plan
+    # Tenants serving one bundle under different names share entries.
+    service.deploy(trained_bundle[0], name="tenant-b")
+    assert service.estimate(sql, env, bundle="tenant-b") == first
+    assert service.counters()["plan_cache"]["hits"] == 2
+    # The same statement under another environment is another plan.
+    service.estimate(sql, serving_envs[1], bundle="tenant-b")
+    assert service.counters()["plan_cache"]["misses"] == 2
+    assert "plan-cache" in service.report()
