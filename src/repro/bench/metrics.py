@@ -166,7 +166,11 @@ def _fix_rates(delta: Dict[str, object]) -> None:
         if not isinstance(value, dict):
             continue
         if key in (
-            "feature_cache", "template_cache", "plan_cache", "snapshot_store"
+            "feature_cache",
+            "template_cache",
+            "plan_cache",
+            "estimate_cache",
+            "snapshot_store",
         ):
             hits = value.get("hits", 0) + value.get("coalesced", 0)
             hits += value.get("approx_hits", 0)

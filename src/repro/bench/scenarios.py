@@ -414,7 +414,10 @@ def _cold_start(params: Dict[str, object], seed: int) -> Dict[str, object]:
         issued = errors = warm_errors = 0
         cold_elapsed = warm_elapsed = 0.0
         for _ in range(int(params.get("measure_passes", 2))):
+            # The estimate memo sits behind the feature cache: a cold
+            # pass that kept it would skip predict too.
             service.cache.clear()
+            service.estimate_cache.clear()
             cold = run_load(
                 service,
                 [Tenant("cold", items)],

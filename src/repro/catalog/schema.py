@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import SchemaError
 
 
@@ -103,6 +105,19 @@ class Table:
         if len(names) != len(set(names)):
             raise SchemaError(f"table {self.name}: duplicate column names")
         self._by_name: Dict[str, Column] = {c.name: c for c in self.columns}
+        # Derived sizes, fixed at construction: the planner reads them
+        # for every scan it costs.
+        #: Average tuple width in bytes, including heap overhead.
+        self.tuple_width: int = TUPLE_OVERHEAD_BYTES + sum(
+            c.byte_width for c in self.columns
+        )
+        per_page = max(1, PAGE_SIZE_BYTES // max(self.tuple_width, 1))
+        #: Heap pages, the basis of sequential-scan cost.
+        self.pages: int = max(1, -(-self.row_count // per_page))
+        #: B-tree descent pages of one index lookup (index-scan cost).
+        self.btree_depth: float = max(
+            float(np.log2(max(self.row_count, 2.0))) / 8.0, 1.0
+        )
 
     def column(self, name: str) -> Column:
         try:
@@ -116,17 +131,6 @@ class Table:
     @property
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
-
-    @property
-    def tuple_width(self) -> int:
-        """Average tuple width in bytes, including heap overhead."""
-        return TUPLE_OVERHEAD_BYTES + sum(c.byte_width for c in self.columns)
-
-    @property
-    def pages(self) -> int:
-        """Heap pages, the basis of sequential-scan cost."""
-        per_page = max(1, PAGE_SIZE_BYTES // max(self.tuple_width, 1))
-        return max(1, -(-self.row_count // per_page))
 
     def indexes_on(self, column: str) -> List[Index]:
         """Indexes whose *leading* column is *column* (usable for it)."""

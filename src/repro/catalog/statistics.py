@@ -114,7 +114,7 @@ class TableStatistics:
         else:  # pragma: no cover - guarded by Predicate
             raise SchemaError(f"unsupported operator {op!r}")
         sel *= 1.0 - col.null_frac
-        return float(np.clip(sel, 1e-9, 1.0))
+        return min(max(sel, 1e-9), 1.0)
 
     # ------------------------------------------------------------------
     # true (data view)
@@ -174,7 +174,7 @@ class CatalogStatistics:
         sel = 1.0
         for pred in preds:
             sel *= self.for_table(pred.table).estimated_selectivity(pred)
-        return float(np.clip(sel, 1e-12, 1.0))
+        return min(max(sel, 1e-12), 1.0)
 
     def true_conjunction(self, preds: Sequence[Predicate]) -> float:
         """Truth for a conjunction; mild positive correlation between

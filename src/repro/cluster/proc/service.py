@@ -213,13 +213,17 @@ class ProcClusterService:
     # ------------------------------------------------------------------
     # state publication
     # ------------------------------------------------------------------
-    def _publish(self) -> Tuple[Dict[str, object], bytes]:
+    def _publish(
+        self, drop_caches: bool = False
+    ) -> Tuple[Dict[str, object], bytes]:
         """Encode the template's full state and publish its blobs.
 
         Returns the ``sync`` payload + tail.  Blobs go through shared
         memory when the host supports it (one copy for N workers); the
         fallback packs them inline in the frame tail — same bytes,
-        just not shared.
+        just not shared.  ``drop_caches`` tells the workers that the
+        state may reuse a (name, version) they served another bundle
+        under (a restored checkpoint), so their derived caches go.
         """
         state = service_state(self.template)
         store = BlobStore()
@@ -231,6 +235,7 @@ class ProcClusterService:
             "manifest": tree,
             "shm": None,
             "generation": generation,
+            "drop_caches": drop_caches,
         }
         tail = b""
         segment: Optional[BlobSegment] = None
@@ -650,7 +655,7 @@ class ProcClusterService:
             return False
         with self._lock:
             self._deployed = self.template.registry.names()
-        self._publish()
+        self._publish(drop_caches=True)
         self._sync_all()
         self.events.emit("tier_restored", directory=str(directory))
         return True

@@ -74,6 +74,10 @@ class WorkerRuntime:
         self.errors = 0
         self.warm_booted = False
         self.sync_generation = -1
+        #: The registry's per-name deployment counters right after the
+        #: last state install; any difference later means this worker
+        #: made versions of its own (a snapshot graft) since.
+        self._installed_versions: Dict[str, int] = {}
         self._attached: Optional[AttachedBlobs] = None
 
     # ------------------------------------------------------------------
@@ -95,6 +99,7 @@ class WorkerRuntime:
             time.sleep(delay)
         restored, _ = restore_service_checkpoint(self.service, str(directory))
         self.warm_booted = restored
+        self._installed_versions = self.service.registry.versions_snapshot()
 
     # ------------------------------------------------------------------
     # request handlers
@@ -130,7 +135,22 @@ class WorkerRuntime:
         from ...persist import decode_state, restore_service
 
         state = decode_state(tree, store)
-        restore_service(self.service, state)
+        # The parent's deploys only move versions forward, so a sync
+        # reuses no (name, version) whose cached features or estimates
+        # came from another bundle — unless the parent restored a
+        # checkpoint (``drop_caches``), or this worker made a version
+        # of its own since the last install, which the parent may yet
+        # assign to another bundle.
+        diverged = (
+            self.service.registry.versions_snapshot()
+            != self._installed_versions
+        )
+        restore_service(
+            self.service,
+            state,
+            drop_shadowed_caches=diverged or bool(header.get("drop_caches")),
+        )
+        self._installed_versions = self.service.registry.versions_snapshot()
         # Hold the new mapping for the service's lifetime (the arrays
         # alias it); release the previous generation's mapping.
         previous, self._attached = self._attached, attached

@@ -31,17 +31,24 @@ class CardinalityModel:
         self._annotate(root, truth=True)
 
     # ------------------------------------------------------------------
-    def _annotate(self, node: PlanNode, truth: bool) -> float:
+    def annotate_node_estimates(self, node: PlanNode) -> None:
+        """Fill ``est_rows`` and ``est_width`` of *node* alone; its
+        children must already carry theirs."""
+        self._annotate_node(node, truth=False)
+
+    # ------------------------------------------------------------------
+    def _annotate(self, node: PlanNode, truth: bool) -> None:
         for child in node.children:
             self._annotate(child, truth)
-        rows = self._node_rows(node, truth)
-        rows = float(max(rows, 0.0))
+        self._annotate_node(node, truth)
+
+    def _annotate_node(self, node: PlanNode, truth: bool) -> None:
+        rows = float(max(self._node_rows(node, truth), 0.0))
         if truth:
             node.true_rows = rows
         else:
             node.est_rows = rows
             node.est_width = self._node_width(node)
-        return rows
 
     def _child_rows(self, node: PlanNode, index: int, truth: bool) -> float:
         child = node.children[index]

@@ -52,9 +52,8 @@ def resource_counts(
     elif op is OperatorType.INDEX_SCAN:
         table = catalog.table(node.table)  # type: ignore[arg-type]
         matched = max(out_rows, 1.0)
-        depth = max(_log2(table.row_count) / 8.0, 1.0)  # b-tree descent pages
         pages = min(matched, float(table.pages))
-        counts["nr"] = pages + depth
+        counts["nr"] = pages + table.btree_depth
         counts["ni"] = matched
         counts["nt"] = matched
         counts["no"] = float(len(node.predicates)) * matched
@@ -122,13 +121,18 @@ class CostModel:
         """
         for child in root.children:
             self.annotate(child)
+        self.annotate_node(root)
+
+    def annotate_node(self, node: PlanNode) -> None:
+        """Fill the costs of *node* alone; its children must already
+        carry theirs (and *node* its ``est_rows``)."""
         counts = resource_counts(
-            root, self.catalog, lambda n: n.est_rows, self.env
+            node, self.catalog, lambda n: n.est_rows, self.env
         )
         own = combine(counts, self._coefficients)
-        child_total = sum(c.est_total_cost for c in root.children)
-        root.est_total_cost = own + child_total
-        root.est_startup_cost = self._startup_cost(root, own, child_total)
+        child_total = sum(c.est_total_cost for c in node.children)
+        node.est_total_cost = own + child_total
+        node.est_startup_cost = self._startup_cost(node, own, child_total)
 
     def _startup_cost(self, node: PlanNode, own: float, child_total: float) -> float:
         """Blocking operators pay (almost) everything before row one."""

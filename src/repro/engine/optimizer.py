@@ -43,28 +43,40 @@ class PlanBuilder:
 
     # ------------------------------------------------------------------
     def build(self, query: SelectQuery) -> PlanNode:
-        """Build, annotate and validate the physical plan for *query*."""
+        """Build, annotate and validate the physical plan for *query*.
+
+        The join tree comes back annotated (every candidate was costed),
+        so only the Aggregate/Sort/Limit wrappers above it need
+        annotating, each in turn.
+        """
         scans = {
             table: self._best_scan(table, query) for table in query.tables
         }
         root = self._join_tables(query, scans)
         if query.is_aggregate:
-            root = PlanNode(
-                op=OperatorType.AGGREGATE,
-                children=[root],
-                group_keys=tuple(c.sql() for c in query.group_by),
+            root = self._annotate_node(
+                PlanNode(
+                    op=OperatorType.AGGREGATE,
+                    children=[root],
+                    group_keys=tuple(c.sql() for c in query.group_by),
+                )
             )
         if query.order_by:
-            root = PlanNode(
-                op=OperatorType.SORT,
-                children=[root],
-                sort_keys=tuple(o.column.sql() for o in query.order_by),
+            root = self._annotate_node(
+                PlanNode(
+                    op=OperatorType.SORT,
+                    children=[root],
+                    sort_keys=tuple(o.column.sql() for o in query.order_by),
+                )
             )
         if query.limit is not None:
-            root = PlanNode(
-                op=OperatorType.LIMIT, children=[root], limit_count=query.limit
+            root = self._annotate_node(
+                PlanNode(
+                    op=OperatorType.LIMIT,
+                    children=[root],
+                    limit_count=query.limit,
+                )
             )
-        self._annotate(root)
         root.validate()
         return root
 
@@ -100,6 +112,12 @@ class PlanBuilder:
     def _annotate(self, node: PlanNode) -> None:
         self.cards.annotate_estimates(node)
         self.cost.annotate(node)
+
+    def _annotate_node(self, node: PlanNode) -> PlanNode:
+        """Annotate *node* alone (its children already are); returns it."""
+        self.cards.annotate_node_estimates(node)
+        self.cost.annotate_node(node)
+        return node
 
     # ------------------------------------------------------------------
     # joins

@@ -110,6 +110,7 @@ _CACHE_SECTIONS = (
     ("feature_cache", "feature-cache"),
     ("template_cache", "template-cache"),
     ("plan_cache", "plan-cache"),
+    ("estimate_cache", "estimate-cache"),
     ("snapshot_store", "snapshot-store"),
 )
 

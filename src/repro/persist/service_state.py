@@ -303,7 +303,11 @@ def service_state(service: "CostService") -> Dict[str, object]:
     return state
 
 
-def restore_service(service: "CostService", state: Mapping[str, object]) -> None:
+def restore_service(
+    service: "CostService",
+    state: Mapping[str, object],
+    drop_shadowed_caches: bool = True,
+) -> None:
     """Apply a decoded :func:`service_state` tree onto *service*.
 
     The whole tree is rebuilt (bundles, snapshots, cache values) before
@@ -312,6 +316,15 @@ def restore_service(service: "CostService", state: Mapping[str, object]) -> None
     adaptation watchers exactly like :meth:`CostService.deploy` does;
     watcher drift state and feedback windows are then overwritten from
     the checkpoint.
+
+    When a restored bundle's name is already registered, the restored
+    bundle may differ from the one served under the same (name,
+    version), so the caches keyed by it — features, templates and
+    estimates — are dropped before the install (the checkpoint's own
+    entries then go in).  ``drop_shadowed_caches=False`` keeps them,
+    for a caller that knows the state reuses no (name, version) it
+    cached under another bundle (a proc worker installing its parent's
+    next deploy).
     """
     if state.get("kind") != "cost_service":
         raise CheckpointError(
@@ -377,6 +390,12 @@ def restore_service(service: "CostService", state: Mapping[str, object]) -> None
             }
 
     # Everything decoded cleanly: install.
+    shadowed = any(bundle.name in service.registry for bundle in bundles)
+    if drop_shadowed_caches and shadowed:
+        for cache in (
+            service.cache, service.template_cache, service.estimate_cache
+        ):
+            cache.clear()
     for bundle in bundles:
         service.registry.install_restored(
             bundle, version_counter=versions.get(bundle.name)

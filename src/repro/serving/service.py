@@ -8,6 +8,10 @@ predict — against deployed :class:`EstimatorBundle`\\ s, with:
   and plan;
 - a :class:`FeatureCache` memoising encoded features by plan
   fingerprint (repeated plans skip featurization entirely);
+- an estimate memo (:class:`FeatureCache` ``estimate_cache``) mapping
+  that same feature-cache key to the scalar estimate, so a repeated
+  plan on the synchronous :meth:`CostService.estimate` path also skips
+  predict;
 - a second :class:`FeatureCache` memoising *template skeletons* by
   :func:`~repro.featurization.fingerprint.template_fingerprint`
   (literal-derived dims masked out), so different literals of one
@@ -191,6 +195,11 @@ class CostService:
         #: repeated statement skips parse and plan.  Entries are shared
         #: and must never be mutated; derived state, never persisted.
         self.plan_cache = FeatureCache(cache_capacity)
+        #: Estimate memo: scalar estimates keyed by the feature-cache
+        #: key (plan fingerprint, bundle name/version/backend, env), so
+        #: a repeated plan on the scalar path skips predict.  Consulted
+        #: after the feature cache; derived state, never persisted.
+        self.estimate_cache = FeatureCache(cache_capacity)
         self.stats = ServiceStats()
         #: The unified metrics registry every stats source registers
         #: into; :meth:`counters` and the Prometheus exposition are
@@ -253,6 +262,7 @@ class CostService:
         # Registered after the pre-existing sections so their snapshot
         # key order is unchanged.
         register("plan_cache", lambda: _cache_section(self.plan_cache))
+        register("estimate_cache", lambda: _cache_section(self.estimate_cache))
         register(
             "adaptation",
             lambda: None
@@ -455,7 +465,9 @@ class CostService:
         bundle: EstimatorBundle,
         record: LabeledPlan,
         env: DatabaseEnvironment,
-    ):
+    ) -> Tuple[str, object]:
+        """(feature-cache key, prepared features) for *record*: the
+        features come from the cache, featurized on a miss."""
         start = time.perf_counter()
         key = plan_fingerprint(
             record.plan, bundle.name, bundle.version, bundle.backend, env.name
@@ -501,7 +513,46 @@ class CostService:
                     cache="miss" if computed else "hit",
                 )
         self.stats.record("featurize", time.perf_counter() - start)
-        return prepared
+        return key, prepared
+
+    def _memo_predict(
+        self,
+        key: str,
+        bundle: EstimatorBundle,
+        record: LabeledPlan,
+        prepared: object,
+    ) -> float:
+        """The scalar estimate of feature-cache *key*, predicted on a
+        memo miss.
+
+        With features cached (*prepared* not None) the estimate is a
+        pure function of the key, so one lookup serves both tracer
+        states; the ``predict`` stage (and span, annotated
+        ``cache=hit|miss``) times getting the value, and concurrent
+        misses on one key predict once.  A None *prepared* means the
+        estimator reads the plan itself (the native-cost fallback,
+        from optimizer estimates the fingerprint rounds to 8 digits),
+        so that value is predicted every time and never memoized.
+        """
+        tracer = self.tracer
+        computed: List[bool] = []
+
+        def _predict() -> float:
+            computed.append(True)
+            return float(bundle.predict_prepared([record], [prepared])[0])
+
+        start = time.perf_counter()
+        with _NO_SPAN if tracer is None else tracer.start_span(
+            "predict", kind="predict"
+        ) as span:
+            if prepared is None:
+                value = _predict()
+            else:
+                value = self.estimate_cache.get_or_compute(key, _predict)
+                if span is not None:
+                    span.annotate(cache="miss" if computed else "hit")
+        self.stats.record("predict", time.perf_counter() - start)
+        return value
 
     def _record_for(
         self, plan: PlanNode, env: DatabaseEnvironment, sql_text: str
@@ -552,20 +603,11 @@ class CostService:
         """The untraced body of :meth:`estimate` (stage spans, if any,
         parent onto the caller's active span via the tracer's
         thread-local stack)."""
-        tracer = self.tracer
         deployed = self._ensure_environment(self._route(bundle, backend), env)
         plan, sql_text = self._resolve_plan(query, deployed, env)
         record = self._record_for(plan, env, sql_text)
-        prepared = self._prepare(deployed, record, env)
-        start = time.perf_counter()
-        if tracer is None:
-            value = float(deployed.predict_prepared([record], [prepared])[0])
-        else:
-            with tracer.start_span("predict", kind="predict"):
-                value = float(
-                    deployed.predict_prepared([record], [prepared])[0]
-                )
-        self.stats.record("predict", time.perf_counter() - start)
+        key, prepared = self._prepare(deployed, record, env)
+        value = self._memo_predict(key, deployed, record, prepared)
         self.stats.count_requests()
         self._stream_to_adaptation(deployed.name, record)
         return value
@@ -625,7 +667,7 @@ class CostService:
             plan, sql_text = self._resolve_plan(query, deployed, env)
             record = self._record_for(plan, env, sql_text)
             records.append(record)
-            prepared.append(self._prepare(deployed, record, env))
+            prepared.append(self._prepare(deployed, record, env)[1])
             self._stream_to_adaptation(deployed.name, record)
         out = np.zeros(len(records))
         batches = 0
@@ -708,7 +750,7 @@ class CostService:
         deployed = self._ensure_environment(self._route(bundle, backend), env)
         plan, sql_text = self._resolve_plan(query, deployed, env)
         record = self._record_for(plan, env, sql_text)
-        prepared = self._prepare(deployed, record, env)
+        _, prepared = self._prepare(deployed, record, env)
         batcher = self._batcher_for(deployed.name)
         self.stats.count_requests()
         self._stream_to_adaptation(deployed.name, record)

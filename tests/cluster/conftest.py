@@ -24,3 +24,17 @@ def cluster_bundle(sysbench, cluster_envs):
     )
     pipeline.fit(labeled)
     return pipeline.export_bundle(), labeled
+
+
+@pytest.fixture(scope="package")
+def cluster_rescaled_bundle(sysbench, cluster_envs, cluster_bundle):
+    """:func:`cluster_bundle`'s data refit at half the template scale:
+    another snapshot, so other keep-masks, feature widths and weights."""
+    _, labeled = cluster_bundle
+    pipeline = QCFE(
+        sysbench,
+        cluster_envs,
+        QCFEConfig(model="qppnet", epochs=3, template_scale=2),
+    )
+    pipeline.fit(labeled)
+    return pipeline.export_bundle()

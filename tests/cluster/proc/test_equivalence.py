@@ -20,7 +20,7 @@ import pytest
 
 from repro.cluster import ClusterService
 from repro.engine.optimizer import PlanBuilder
-from repro.serving import CostService, SnapshotStore
+from repro.serving import CostService, EstimatorBundle, SnapshotStore
 
 
 @pytest.fixture(scope="module")
@@ -186,4 +186,94 @@ def test_sql_stampede_builds_its_plan_once(cluster_bundle, cluster_envs):
     assert memo["misses"] == 1 and memo["coalesced"] >= 1
     assert memo["hits"] + memo["coalesced"] == 15
     expected = _fresh_estimates(bundle, [sql], env)
+    assert np.array_equal(values, np.repeat(expected, 16))
+
+
+def _memo_counter(tier, counter: str) -> int:
+    """*counter* of the estimate memo, summed over a thread tier's
+    replicas."""
+    return sum(
+        shard["estimate_cache"][counter]
+        for shard in tier.counters()["shards"].values()
+    )
+
+
+def test_estimate_memo_hits_equal_misses_and_fresh_services(
+    proc_service, thread_tier, cluster_bundle, cluster_envs
+):
+    """Repeated plans: the estimate memo's hit returns the same 64 bits
+    as its miss and as a fresh service — in process and on both tiers,
+    for shipped plans and SQL text, sync and async alike."""
+    bundle, labeled = cluster_bundle
+    env = cluster_envs[1]
+    for queries in (
+        [record.plan for record in labeled[:6]],
+        list(dict.fromkeys(record.query_sql for record in labeled[:6])),
+    ):
+        expected = _fresh_estimates(bundle, queries, env)
+        with CostService(snapshot_store=SnapshotStore()) as service:
+            service.deploy(bundle)
+            misses = [service.estimate(q, env) for q in queries]
+            hits = [service.estimate(q, env) for q in queries]
+            memo = service.counters()["estimate_cache"]
+        assert memo["hits"] >= len(queries)
+        assert memo["misses"] + memo["hits"] == 2 * len(queries)
+        assert np.array_equal(misses, expected)
+        assert np.array_equal(hits, expected)
+        thread_hits = _memo_counter(thread_tier, "hits")
+        for tier in (thread_tier, proc_service):
+            for _ in range(2):
+                assert np.array_equal(
+                    [tier.estimate(q, env, bundle=bundle.name)
+                     for q in queries],
+                    expected,
+                )
+            assert np.array_equal(
+                [tier.estimate_async(q, env, bundle=bundle.name)
+                 .result(timeout=30.0) for q in queries],
+                expected,
+            )
+        assert _memo_counter(thread_tier, "hits") >= thread_hits + len(queries)
+
+
+def test_plan_stampede_predicts_once(cluster_bundle, cluster_envs):
+    """16 threads estimate one plan at once with its features cached:
+    one predict, the other callers coalesce onto it or hit, and all
+    get a fresh service's bits."""
+    bundle, labeled = cluster_bundle
+    plan, env = labeled[0].plan, cluster_envs[0]
+    predicts = []
+    predict = EstimatorBundle.predict_prepared
+
+    def slow_predict(self, records, prepared=None):
+        predicts.append(1)
+        time.sleep(0.1)  # hold the miss open so the others pile up
+        return predict(self, records, prepared)
+
+    barrier = threading.Barrier(16)
+    with CostService(snapshot_store=SnapshotStore()) as service:
+        service.deploy(bundle)
+        service.estimate_many([plan], env)  # features only: fused path
+
+        def call(_):
+            barrier.wait(timeout=30.0)
+            return service.estimate(plan, env)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads harder
+        try:
+            with mock.patch.object(
+                EstimatorBundle, "predict_prepared", slow_predict
+            ):
+                with ThreadPoolExecutor(16) as pool:
+                    values = list(pool.map(call, range(16), timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        memo = service.counters()["estimate_cache"]
+        features = service.counters()["feature_cache"]
+    assert len(predicts) == 1
+    assert memo["misses"] == 1 and memo["coalesced"] >= 1
+    assert memo["hits"] + memo["coalesced"] == 15
+    assert features["misses"] == 1 and features["hits"] == 16
+    expected = _fresh_estimates(bundle, [plan], env)
     assert np.array_equal(values, np.repeat(expected, 16))

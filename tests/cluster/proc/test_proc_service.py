@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.proc import ProcClusterService
+from repro.engine.environment import random_environments
+from repro.serving import CostService, SnapshotStore
 from repro.errors import (
     ClusterError,
     ParseError,
@@ -81,10 +83,12 @@ def test_counters_fold_worker_sections(proc_service, cluster_bundle,
         assert "sections" in snap  # the worker's own registry, folded
         sections = snap["sections"]
         assert set(sections["plan_cache"]) == set(sections["template_cache"])
+        assert set(sections["estimate_cache"]) == set(sections["plan_cache"])
     assert counters["supervisor"]["alive"] == counters["supervisor"]["workers"]
     report = proc_service.report()
     assert "worker-0" in report and "routed" in report
     assert "plan-cache" in report
+    assert "estimate-cache" in report
 
 
 def test_tenant_affinity_is_stable(proc_service):
@@ -161,6 +165,64 @@ def test_save_restore_round_trip_is_bit_identical(
         assert fresh.restore(tmp_path / "ckpt") is True
         assert fresh.deployed_names() == proc_service.deployed_names()
         assert fresh.estimate(sql, env) == expected
+
+
+def _masks_differ_plan(served, replacement, labeled, envs):
+    """(plan, env) of a record through an operator whose keep-mask
+    differs between two bundles: stale features cannot fit the other
+    net, and a stale estimate is visibly another model's."""
+    differs = {
+        op for op, mask in served.masks.items()
+        if int(mask.sum()) != int(replacement.masks[op].sum())
+    }
+    record = next(
+        r for r in labeled if any(node.op in differs for node in r.plan.walk())
+    )
+    return record.plan, next(e for e in envs if e.name == record.env_name)
+
+
+def _fresh_estimate(bundle, plan, env) -> float:
+    with CostService(snapshot_store=SnapshotStore()) as fresh:
+        fresh.deploy(bundle, name="t")
+        return fresh.estimate(plan, env, bundle="t")
+
+
+def test_restoring_a_served_tier_drops_worker_caches(
+    cluster_bundle, cluster_rescaled_bundle, cluster_envs, tmp_path
+):
+    """Regression: after a tier restore of another bundle under a
+    served (name, version), workers answered from their old caches."""
+    served, labeled = cluster_bundle
+    restored = cluster_rescaled_bundle
+    plan, env = _masks_differ_plan(served, restored, labeled, cluster_envs)
+    with CostService() as other:
+        other.deploy(restored, name="t")
+        other.save(tmp_path / "ckpt")
+    with ProcClusterService(worker_count=1, config=fast_config()) as tier:
+        tier.deploy(served, name="t")
+        tier.estimate(plan, env, bundle="t")
+        assert tier.restore(tmp_path / "ckpt") is True
+        got = tier.estimate(plan, env, bundle="t")
+    assert got == _fresh_estimate(restored, plan, env)
+
+
+def test_redeploy_after_a_worker_graft_serves_the_new_bundle(
+    cluster_bundle, cluster_rescaled_bundle, cluster_envs
+):
+    """Regression: a worker that grafted a snapshot made (t, 2) itself;
+    the parent's redeploy then assigned (t, 2) to another bundle, and
+    the worker answered from its caches of the grafted one."""
+    served, labeled = cluster_bundle
+    redeployed = cluster_rescaled_bundle
+    plan, env = _masks_differ_plan(served, redeployed, labeled, cluster_envs)
+    unseen = random_environments(3, seed=3)[2]
+    with ProcClusterService(worker_count=1, config=fast_config()) as tier:
+        tier.deploy(served, name="t")
+        tier.estimate(plan, unseen, bundle="t")  # the worker grafts
+        tier.estimate(plan, env, bundle="t")
+        tier.deploy(redeployed, name="t")
+        got = tier.estimate(plan, env, bundle="t")
+    assert got == _fresh_estimate(redeployed, plan, env)
 
 
 def test_warm_boot_from_spool(cluster_bundle, cluster_envs, tmp_path):

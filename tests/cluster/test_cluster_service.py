@@ -343,6 +343,9 @@ def test_counters_and_report_shape(cluster, cluster_bundle, cluster_envs):
     assert set(home["plan_cache"]) == set(home["template_cache"])
     assert home["plan_cache"]["requests"] >= 1
     assert "plan-cache" in report and "feature-cache" in report
+    assert set(home["estimate_cache"]) == set(home["plan_cache"])
+    assert home["estimate_cache"]["requests"] >= 1
+    assert "estimate-cache" in report
 
 
 # ----------------------------------------------------------------------

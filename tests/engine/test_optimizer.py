@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 
-from repro.engine.environment import DatabaseEnvironment
+import pytest
+
+from repro.engine.environment import DatabaseEnvironment, random_environments
 from repro.engine.hardware import get_profile
 from repro.engine.knobs import default_configuration
 from repro.engine.operators import JOIN_OPERATORS, OperatorType
@@ -150,6 +153,31 @@ class TestDecorators:
         for node in plan.walk():
             assert node.est_rows >= 0
             assert node.est_total_cost > 0
+
+    @pytest.mark.parametrize("bench_name", ["sysbench", "tpch", "joblight"])
+    def test_reannotating_a_built_plan_changes_no_bit(
+        self, bench_name, request
+    ):
+        """build() annotates only the wrappers above the costed join
+        tree; a from-scratch bottom-up re-annotation must reproduce
+        every estimate bit for bit."""
+        bench = request.getfixturevalue(bench_name)
+        queries = bench.generate_queries(40, seed=5)
+        for env in random_environments(2, seed=11):
+            builder = PlanBuilder(bench.catalog, bench.stats, env)
+            for _, query in queries:
+                plan = builder.build(query)
+                again = copy.deepcopy(plan)
+                builder.cards.annotate_estimates(again)
+                builder.cost.annotate(again)
+                for got, want in zip(plan.walk(), again.walk(), strict=True):
+                    for name in (
+                        "est_rows", "est_width", "est_startup_cost",
+                        "est_total_cost",
+                    ):
+                        assert repr(getattr(got, name)) == repr(
+                            getattr(want, name)
+                        ), (name, query.sql())
 
     def test_deterministic_planning(self, tpch):
         sql = (

@@ -126,6 +126,8 @@ def test_live_expositions_parse_under_check_prom(
     assert "repro_service_requests" in service_text
     assert "repro_plan_cache_misses" in service_text
     assert "plan_cache" in cluster_text
+    assert "repro_estimate_cache_misses" in service_text
+    assert "estimate_cache" in cluster_text
 
 
 def test_bench_obs_summary_and_registry(tmp_path):

@@ -191,3 +191,29 @@ def test_plan_span_annotates_memo_hit_and_miss(trained_bundle, serving_envs):
     assert hit["plan"]["annotations"]["cache"] == "hit"
     assert "parse" not in hit
     assert hit["plan"]["parent_id"] == hit["request"]["span_id"]
+
+
+def test_predict_span_annotates_estimate_memo_hit_and_miss(
+    trained_bundle, serving_envs
+):
+    """The scalar path's ``predict`` span says whether the estimate
+    memo answered (``cache=hit``) or the model ran (``cache=miss``)."""
+    tracer = Tracer(sample_rate=1.0, seed=7)
+    _, labeled = trained_bundle
+    service = _traced_service(trained_bundle, tracer)
+    try:
+        values = [
+            service.estimate(labeled[0].plan, serving_envs[0])
+            for _ in range(2)
+        ]
+    finally:
+        service.close()
+    assert values[0] == values[1]
+    miss, hit = [
+        {span["name"]: span for span in trace["spans"]}
+        for trace in tracer.traces(kind="request")[-2:]
+    ]
+    assert miss["predict"]["annotations"]["cache"] == "miss"
+    assert hit["predict"]["annotations"]["cache"] == "hit"
+    assert hit["featurize"]["annotations"]["cache"] == "hit"
+    assert hit["predict"]["parent_id"] == hit["request"]["span_id"]

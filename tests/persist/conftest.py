@@ -18,7 +18,7 @@ ENV_SEED = 3
 PLAN_SEED = 1
 
 
-def _trained(model: str):
+def _trained(model: str, template_scale: int = 2):
     benchmark = get_benchmark("sysbench")
     envs = random_environments(2, seed=ENV_SEED)
     labeled = collect_labeled_plans(benchmark, envs, 32, seed=PLAN_SEED)
@@ -28,7 +28,7 @@ def _trained(model: str):
         QCFEConfig(
             model=model,
             epochs=1,
-            template_scale=2,
+            template_scale=template_scale,
             reduction="diff",
             hidden=(8, 8),
         ),
@@ -51,6 +51,13 @@ def _trained(model: str):
 def qppnet_setup():
     """A trained miniature QPPNet bundle + its training artifacts."""
     return _trained("qppnet")
+
+
+@pytest.fixture(scope="session")
+def qppnet_rescaled_setup():
+    """:func:`qppnet_setup`'s bundle refit with twice the template
+    scale: another snapshot, so other keep-masks and feature widths."""
+    return _trained("qppnet", template_scale=4)
 
 
 @pytest.fixture(scope="session")

@@ -138,6 +138,47 @@ def test_restore_into_leaner_service_degrades_gracefully(
         lean.close()
 
 
+@pytest.mark.parametrize("entry", ["restore", "load_state"])
+def test_restoring_a_served_name_drops_its_derived_caches(
+    tmp_path, qppnet_setup, qppnet_rescaled_setup, entry
+):
+    """Regression: a service that had served ``t`` kept its feature,
+    template and estimate caches across a restore of a *different*
+    bundle under the same (name, version), then fed them to the
+    restored bundle (a numpy ``ValueError`` on mismatched widths).
+    It must answer exactly like a fresh service restored from the same
+    checkpoint."""
+    served = qppnet_rescaled_setup["bundle"]
+    restored_bundle = qppnet_setup["bundle"]
+    envs, labeled = qppnet_setup["envs"], qppnet_setup["labeled"]
+    # A plan through an operator whose keep-mask differs between the
+    # two bundles, so stale features cannot fit the restored net.
+    differs = {
+        op for op, mask in served.masks.items()
+        if int(mask.sum()) != int(restored_bundle.masks[op].sum())
+    }
+    record = next(
+        r for r in labeled if any(node.op in differs for node in r.plan.walk())
+    )
+    env = next(e for e in envs if e.name == record.env_name)
+    with CostService() as other:
+        other.deploy(restored_bundle, name="t")
+        other.save(tmp_path)
+        state = other.state_dict()
+    with CostService() as fresh:
+        assert fresh.restore(tmp_path) is True
+        want = fresh.estimate(record.query_sql, env, bundle="t")
+    with CostService() as service:
+        service.deploy(served, name="t")
+        service.estimate(record.query_sql, env, bundle="t")
+        if entry == "restore":
+            assert service.restore(tmp_path) is True
+        else:
+            service.load_state(state)
+        assert service.registry.get("t").version == 1
+        assert service.estimate(record.query_sql, env, bundle="t") == want
+
+
 def test_restore_with_no_checkpoint_is_a_cold_start(tmp_path):
     service = _fresh_service(adaptation=False)
     try:

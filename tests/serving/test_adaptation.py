@@ -467,3 +467,31 @@ def test_feedback_cannot_corrupt_the_plan_memo(point_trained, adapt_envs):
         served = service.estimate(sql, env)
     with make_service(pipeline, baselines) as fresh:
         assert served == fresh.estimate(sql, env)
+
+
+def test_estimate_memo_serves_the_promoted_version(
+    point_trained, drifted_records, adapt_envs
+):
+    """A promotion bumps the bundle version, which the estimate memo's
+    key carries: the next scalar estimate predicts with the promoted
+    model, exactly as a fresh service serving it does."""
+    pipeline, baselines, _ = point_trained
+    env_by_name = {env.name: env for env in adapt_envs}
+    record = drifted_records[0]
+    env = env_by_name[record.env_name]
+    with make_service(pipeline, baselines) as service:
+        stale = service.estimate(record.plan, env)
+        assert service.estimate(record.plan, env) == stale  # a memo hit
+        for feedback in drifted_records:
+            service.record_feedback(feedback, env_by_name[feedback.env_name])
+        service.adaptation.run_pending()
+        assert service.adaptation.stats.promotions == 1
+        promoted = service.registry.get("sysbench:qppnet")
+        assert promoted.version == 2
+        served = service.estimate(record.plan, env)
+        memo = service.counters()["estimate_cache"]
+        assert (memo["misses"], memo["hits"]) == (2, 1)
+    with CostService(snapshot_store=SnapshotStore()) as fresh:
+        fresh.deploy(promoted)
+        assert served == fresh.estimate(record.plan, env)
+    assert served != stale

@@ -33,6 +33,19 @@ def trained_bundle(sysbench, serving_envs):
     return pipeline.export_bundle(), labeled
 
 
+@pytest.fixture(scope="module")
+def retrained_bundle(sysbench, serving_envs, trained_bundle):
+    """Another fit of :func:`trained_bundle`'s data: other weights."""
+    _, labeled = trained_bundle
+    pipeline = QCFE(
+        sysbench,
+        serving_envs,
+        QCFEConfig(model="qppnet", epochs=4, template_scale=4),
+    )
+    pipeline.fit(labeled)
+    return pipeline.export_bundle()
+
+
 @pytest.fixture()
 def service(trained_bundle):
     bundle, _ = trained_bundle
@@ -219,3 +232,56 @@ def test_plan_memo_skips_parse_and_plan_on_repeats(
     service.estimate(sql, serving_envs[1], bundle="tenant-b")
     assert service.counters()["plan_cache"]["misses"] == 2
     assert "plan-cache" in service.report()
+
+
+def test_estimate_memo_skips_predict_on_repeats(
+    service, trained_bundle, serving_envs
+):
+    _, labeled = trained_bundle
+    plan, env = labeled[0].plan, serving_envs[0]
+    first = service.estimate(plan, env)
+    features_before = service.counters()["feature_cache"]["requests"]
+    assert service.estimate(plan, env) == first
+    counters = service.counters()
+    memo = counters["estimate_cache"]
+    assert (memo["misses"], memo["hits"], memo["size"]) == (1, 1, 1)
+    # The memo sits behind the feature cache, which every request
+    # still consults; the hit still times the predict stage.
+    assert counters["feature_cache"]["requests"] == features_before + 1
+    assert counters["service"]["stages"]["predict"]["calls"] == 2
+    # The fused paths keep their own predict and leave the memo alone.
+    assert np.array_equal(service.estimate_many([plan] * 3, env), [first] * 3)
+    assert service.estimate_async(plan, env).result(timeout=30.0) == first
+    assert service.counters()["estimate_cache"]["requests"] == 2
+    assert "estimate-cache" in service.report()
+
+
+def test_estimate_memo_serves_the_new_version_after_redeploy_and_graft(
+    trained_bundle, retrained_bundle, serving_envs
+):
+    """The bundle version is in the memo key, so a redeploy and a
+    snapshot graft each serve the new version's value — the value a
+    fresh service deployed with that bundle returns."""
+    bundle, labeled = trained_bundle
+    plan, env = labeled[0].plan, serving_envs[0]
+    with CostService(snapshot_store=SnapshotStore()) as service:
+        service.deploy(bundle, name="x")
+        stale = service.estimate(plan, env, bundle="x")
+        service.deploy(retrained_bundle, name="x")
+        redeployed = service.estimate(plan, env, bundle="x")
+        # An unseen environment grafts a snapshot: version 3.
+        unseen = random_environments(3, seed=3)[2]
+        service.estimate(plan, unseen, bundle="x")
+        grafted = service.registry.get("x")
+        assert grafted.version == 3
+        after_graft = service.estimate(plan, env, bundle="x")
+        memo = service.counters()["estimate_cache"]
+        assert (memo["misses"], memo["hits"]) == (4, 0)
+    assert redeployed != stale
+    for deployed, value in (
+        (retrained_bundle, redeployed),
+        (grafted, after_graft),
+    ):
+        with CostService(snapshot_store=SnapshotStore()) as fresh:
+            fresh.deploy(deployed, name="x")
+            assert fresh.estimate(plan, env, bundle="x") == value

@@ -43,7 +43,8 @@ HOT_FUNCTIONS = re.compile(
     r"|_prepare|prepare_one|prepare_many|predict|predict_prepared"
     r"|predict_prepared_batch|prepare_template|prepare_from_template"
     r"|fused_forward|forward_batched|blocked_matmul"
-    r"|_resolve_plan|_memo_plan|_run_batch|_take_batch|submit|get_or_compute"
+    r"|_resolve_plan|_memo_plan|_memo_predict|_run_batch|_take_batch|submit"
+    r"|get_or_compute|_annotate_node|annotate_node|annotate_node_estimates"
     r"|_route|resolve|_resolve_key"
     r"|rpc|_with_failover|_failover_loop"
     r"|encode_frame|decode_frame|recv_frame|send_frame"
